@@ -35,8 +35,7 @@ type Subscription struct {
 
 // Subscribe opens the notification stream. It returns once the server's
 // initial "hello" event has been received — from that point on, every
-// change to the bursty region (and, on servers maintaining continuous
-// top-k, to the top-k answer) is delivered or accounted for in a Dropped
+// change to the bursty region and to the top-k answer is delivered or accounted for in a Dropped
 // count if this subscriber falls behind the server's per-subscriber buffer.
 func (c *Client) Subscribe(ctx context.Context) (*Subscription, error) {
 	return c.SubscribeFrom(ctx, 0)
@@ -223,8 +222,7 @@ func (s *Subscription) LastEventID() uint64 { return s.lastEID.Load() }
 // the stream ends; check Err afterwards.
 func (s *Subscription) Events() <-chan Notification { return s.events }
 
-// TopKEvents returns the top-k notification channel, fed by servers that
-// maintain continuous top-k. Every notification is a complete snapshot of
+// TopKEvents returns the top-k notification channel. Every notification is a complete snapshot of
 // the answer, so the channel keeps only the freshest ones: when a slow
 // consumer fills it, the oldest buffered notification is replaced (the loss
 // shows up in the next notification's Dropped accounting together with any

@@ -10,8 +10,8 @@
 //	                    -> IngestResult
 //	GET  /v1/best       -> State (current bursty region + stream clock)
 //	GET  /v1/topk?k=N   -> TopK (greedy top-k over the live windows);
-//	                    served O(1) from the continuously maintained
-//	                    answer, ?mode=replay forces checkpoint replay
+//	                    k defaults to, and may not exceed, the maintained
+//	                    k (400 code "k_exceeds_topk")
 //	GET  /v1/subscribe  -> text/event-stream: one "hello" event (State),
 //	                    then a "burst" event (Notification) per bursty-
 //	                    region change and a "topk" event (TopKNotification)
@@ -24,6 +24,12 @@
 //	                    so it answers even when the event loop is wedged)
 //	GET  /healthz       -> Health
 //	GET  /metrics       -> Prometheus text format
+//
+// Every query has one serving path, its maintained top-k chain: /v1/topk is
+// an O(1) prefix of it, and its rank-1 region — the bursty region — answers
+// /v1/best and the "burst" events. aG2 and Oracle queries are the exception:
+// no chain reproduces their single-region answer bitwise, so a
+// single-region engine answers /v1/best beside the chain.
 //
 // Multi-query tenancy routes the same surface by query id. One server hosts
 // a registry of named queries over one shared ingest stream; the paths above
@@ -140,10 +146,9 @@ type IngestResult struct {
 	Result   Result `json:"result"`   // answer after the last batch
 }
 
-// TopK is the reply to /v1/topk. Continuous reports which path served it:
-// true for the maintained O(1) snapshot, false for checkpoint replay (the
-// ?mode=replay escape hatch, or a k beyond the maintained one). Both paths
-// report bitwise identical scores for the canonically rescored engines.
+// TopK is the reply to /v1/topk, a prefix of the query's maintained top-k
+// chain. Continuous is always true: the maintained chain is the only
+// serving path.
 type TopK struct {
 	K          int      `json:"k"`
 	Algorithm  string   `json:"algorithm"`
@@ -332,11 +337,6 @@ type QueryConfig struct {
 	Alpha      float64 `json:"alpha,omitempty"`
 	// TopK is the maintained top-k's k (0 inherits the server's).
 	TopK int `json:"topk,omitempty"`
-	// TopKReplayOnly disables the maintained top-k for this query.
-	TopKReplayOnly bool `json:"topk_replay_only,omitempty"`
-	// BestFromEngines keeps the legacy dual-engine layout for this query
-	// (see the server Config field of the same name).
-	BestFromEngines bool `json:"best_from_engines,omitempty"`
 	// Shards is the engine shard count for this query. 0 or 1 hosts a
 	// single engine on the server's shared tenant workers — the layout that
 	// scales to many queries; >= 2 gives this query its own shard pipeline.
@@ -351,9 +351,6 @@ type QueryInfo struct {
 	// Default reports whether this is the query the legacy single-query
 	// paths address.
 	Default bool `json:"default,omitempty"`
-	// Continuous reports whether a maintained top-k chain serves this
-	// query's /topk.
-	Continuous bool `json:"continuous"`
 	// Shared reports whether this query's engine state is shared with other
 	// registry entries of identical configuration (boot-time dedup; the
 	// answers are identical either way).
@@ -373,14 +370,13 @@ type QueryList struct {
 // /v1/queries/{id}/stats and the per-query rows of /v1/stats. Like the
 // server-wide snapshot it is assembled lock-free from counters and mirrors.
 type QueryStats struct {
-	ID         string  `json:"id"`
-	Algorithm  string  `json:"algorithm"`
-	TopK       int     `json:"topk"`
-	Continuous bool    `json:"continuous"`
-	Shards     int     `json:"shards"`
-	Now        float64 `json:"now"`
-	Live       int     `json:"live"`
-	Result     Result  `json:"result"`
+	ID        string  `json:"id"`
+	Algorithm string  `json:"algorithm"`
+	TopK      int     `json:"topk"`
+	Shards    int     `json:"shards"`
+	Now       float64 `json:"now"`
+	Live      int     `json:"live"`
+	Result    Result  `json:"result"`
 
 	Notifications     uint64 `json:"notifications"`
 	TopKNotifications uint64 `json:"topk_notifications"`
@@ -391,7 +387,6 @@ type QueryStats struct {
 	Dropped     uint64 `json:"dropped"`
 	Subscribers int    `json:"subscribers"`
 	TopKFast    uint64 `json:"topk_fast"`
-	TopKReplay  uint64 `json:"topk_replay"`
 	Snapshots   uint64 `json:"snapshots"`
 	Restores    uint64 `json:"restores"`
 	Clamped     uint64 `json:"clamped"`
@@ -425,6 +420,11 @@ const (
 	// addressed query is at a configured per-query quota (e.g. its
 	// subscriber cap). Retrying only helps once capacity frees up.
 	CodeQuotaExceeded = "quota_exceeded"
+	// CodeKExceedsTopK: a top-k read asked (400) for a k above the
+	// addressed query's maintained k (its QueryConfig.TopK, or surged's
+	// -topk). Every k up to it is served; ask for less or create a query
+	// with a larger TopK.
+	CodeKExceedsTopK = "k_exceeds_topk"
 )
 
 // Sentinel errors matched by errors.Is against a decoded *Error.

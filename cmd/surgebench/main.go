@@ -1,7 +1,8 @@
 // Command surgebench regenerates the tables and figures of the SURGE paper's
 // evaluation (Section VII) on synthetic workloads matching the published
-// dataset envelopes. See DESIGN.md for the experiment index and EXPERIMENTS.md
-// for recorded results.
+// dataset envelopes. `surgebench -list` prints the experiment ids; the
+// package documentation of surge (doc.go, section Performance) describes
+// what the machine-readable BENCH_*.json reports hold.
 //
 // Usage:
 //

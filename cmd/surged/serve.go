@@ -5,8 +5,8 @@
 //	POST /v1/ingest     NDJSON or CSV object batches
 //	GET  /v1/best       current bursty region
 //	GET  /v1/topk?k=N   greedy top-k over the live windows, O(1) from the
-//	                    continuously maintained answer (-topk); add
-//	                    ?mode=replay to force checkpoint replay
+//	                    maintained top-k chain; k defaults to -topk and a
+//	                    larger k answers 400 "k_exceeds_topk"
 //	GET  /v1/subscribe  SSE stream of bursty-region and top-k changes;
 //	                    Last-Event-ID resumes after a disconnect
 //	POST /v1/snapshot   detector checkpoint (octet-stream)
@@ -15,6 +15,13 @@
 //	                    pipeline stage, counters and runtime health
 //	GET  /healthz       health summary
 //	GET  /metrics       Prometheus text metrics
+//
+// Every query maintains one top-k chain of -topk regions, and that chain
+// serves all of its answers: /v1/topk, the "topk" SSE events and — through
+// its rank-1 region, which is the bursty region — /v1/best and the "burst"
+// events. aG2 and Oracle are the exception: no chain reproduces their
+// single-region answer bitwise, so they keep a single-region engine for
+// /v1/best beside the chain.
 //
 // The server is multi-query: POST /v1/queries registers additional named
 // queries over the same ingest stream (GET lists them, DELETE removes one)
@@ -58,7 +65,7 @@ import (
 )
 
 func runServe(args []string) error {
-	fs := flag.NewFlagSet("surged serve", flag.ExitOnError)
+	fs := flag.NewFlagSet("surged serve", flag.ContinueOnError)
 	var (
 		addr    = fs.String("addr", ":7077", "listen address")
 		algo    = fs.String("algo", "CCS", "algorithm: CCS, B-CCS, Base, aG2, GAPS, MGAPS, Oracle")
@@ -70,15 +77,13 @@ func runServe(args []string) error {
 		shards  = fs.Int("shards", 0, "engine shards: 1 = single engine, 0 = one per CPU")
 		blkCols = fs.Int("block-cols", 0, "ownership block width in query-width columns (0 = default)")
 		batch   = fs.Int("batch", 512, "objects per detector synchronisation on ingest")
-		topk    = fs.Int("topk", 5, "k of the continuously maintained top-k served O(1) by /v1/topk; 0 disables maintenance (every query replays a checkpoint)")
-		kOld    = fs.Int("k", 5, "deprecated alias of -topk")
+		topk    = fs.Int("topk", 5, "k of the maintained top-k chain that serves /v1/topk (any k up to it), /v1/best and SSE; >= 1")
 		ring    = fs.Int("notify-ring", 256, "recent SSE notifications retained for Last-Event-ID reconnect backfill")
 		policy  = fs.String("time-policy", "clamp", "out-of-order ingest timestamps: clamp (lift to the stream clock, safe for concurrent ingesters) or strict (reject)")
 		subBuf  = fs.Int("sub-buffer", 64, "per-subscriber notification buffer before oldest-first drops")
 		ckptOut = fs.String("checkpoint", "", "write a checkpoint to this file on shutdown")
 		ckptIn  = fs.String("restore", "", "seed the detector from this checkpoint file at boot")
 		flush   = fs.Int("flush", 0, "sharded router flush size in events per shard (0 = adapt to shard backlog)")
-		dualEng = fs.Bool("best-from-engines", false, "keep the legacy dual-engine layout: single-region engines answer /v1/best beside the maintained top-k chain (default: one chain serves both)")
 		pprofOn = fs.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/ (profiling; leave off unless the listener is access-controlled)")
 		logFmt  = fs.String("log-format", "text", "structured log format on stderr: text or json")
 
@@ -94,10 +99,18 @@ func runServe(args []string) error {
 		walSegMB = fs.Int("wal-segment-mb", 64, "durable mode: WAL segment rotation size in MiB")
 		maxPend  = fs.Int("max-pending", 256, "admission control: shed ingest chunks with 429 once this many wait on the event loop; <0 disables")
 	)
-	fs.Parse(args)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return nil
+		}
+		return err
+	}
 
-	// Reject the flag conflict before any work (parsing files, opening the
-	// data directory) happens on either side of it.
+	// Reject flag errors before any work (parsing files, opening the data
+	// directory) happens.
+	if *topk < 1 {
+		return fmt.Errorf("invalid -topk %d (want >= 1)", *topk)
+	}
 	if *ckptIn != "" && *dataDir != "" {
 		return fmt.Errorf("-restore and -data-dir are mutually exclusive: the data directory defines the state (POST a checkpoint to /v1/restore instead)")
 	}
@@ -120,15 +133,6 @@ func runServe(args []string) error {
 	if *flush < 0 {
 		return fmt.Errorf("invalid -flush %d", *flush)
 	}
-	// -k predates -topk; honour it when it is the only one given.
-	topkSet := false
-	fs.Visit(func(f *flag.Flag) { topkSet = topkSet || f.Name == "topk" })
-	if !topkSet {
-		*topk = *kOld
-	}
-	if *topk < 0 {
-		return fmt.Errorf("invalid -topk %d", *topk)
-	}
 	if *qMaxSubs < 0 {
 		return fmt.Errorf("invalid -query-max-subs %d", *qMaxSubs)
 	}
@@ -149,8 +153,6 @@ func runServe(args []string) error {
 			Shards: nShards, ShardBlockCols: *blkCols, ShardFlushEvents: *flush,
 		},
 		TopK:                *topk,
-		TopKReplayOnly:      *topk == 0,
-		BestFromEngines:     *dualEng,
 		NotifyRing:          *ring,
 		TimePolicy:          tp,
 		BatchSize:           *batch,

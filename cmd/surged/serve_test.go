@@ -104,13 +104,29 @@ func TestRunServeRejectsBadFlags(t *testing.T) {
 	if err := runServe([]string{"-topk", "-1"}); err == nil {
 		t.Fatal("negative topk accepted")
 	}
+	// -topk must be >= 1, and is checked right after flag parsing: before
+	// the missing restore file is opened.
+	err := runServe([]string{"-topk", "0", "-restore", "/nonexistent/surge.ckpt"})
+	if err == nil || !strings.Contains(err.Error(), "-topk") {
+		t.Fatalf("-topk 0 not rejected as a flag error: %v", err)
+	}
+	// Flags that were removed must fail as unknown flags, not be ignored.
+	removed, err := os.ReadFile(filepath.Join("testdata", "removed_flags.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, gone := range strings.Fields(string(removed)) {
+		if err := runServe([]string{gone, "3"}); err == nil || !strings.Contains(err.Error(), "not defined") {
+			t.Fatalf("removed flag %s not rejected as unknown: %v", gone, err)
+		}
+	}
 	if err := runServe([]string{"-restore", "/nonexistent/surge.ckpt"}); err == nil {
 		t.Fatal("missing restore file accepted")
 	}
 	// The -restore/-data-dir conflict is a flag error, so it must be
 	// rejected before serve touches either path (including paths that do
 	// not exist yet).
-	err := runServe([]string{"-restore", "/nonexistent/surge.ckpt", "-data-dir", "/nonexistent/dir"})
+	err = runServe([]string{"-restore", "/nonexistent/surge.ckpt", "-data-dir", "/nonexistent/dir"})
 	if err == nil || !strings.Contains(err.Error(), "mutually exclusive") {
 		t.Fatalf("restore+data-dir conflict not rejected as such: %v", err)
 	}

@@ -168,13 +168,11 @@
 // runner), the `shards` and
 // `serve` experiments write BENCH_shards.json / BENCH_serve.json with
 // their scaling curves (rows of objects_per_sec and speedup per shard
-// count), and the `topkserve` experiment writes BENCH_topk.json with the
-// /v1/topk latency percentiles (continuous vs replay), the ingest cost of
-// the unified chain layout against the dual-engine layout it replaced and
-// against a server with no top-k at all, and the /v1/best latency of both
-// serving layouts. CI runs the hotpath and topkserve
-// experiments at laptop scale on every PR and archives the JSON, so
-// regressions show up as a diff in the perf point.
+// count), and the `tenancy` experiment writes BENCH_tenancy.json with the
+// multi-query ingest scaling. CI runs the hotpath and tenancy experiments
+// at laptop scale on every PR and archives the JSON, so regressions show
+// up as a diff in the perf point. `surgebench -list` prints every
+// experiment id.
 // For profiling a live instance, `surged serve -pprof` mounts
 // net/http/pprof under /debug/pprof/ (off by default).
 //
@@ -187,12 +185,11 @@
 //	POST /v1/ingest     NDJSON {"time","x","y","weight"} or CSV
 //	                    "time,x,y,weight" object batches
 //	GET  /v1/best       current bursty region, stream clock, engine stats;
-//	                    with maintained top-k (surged -topk, the default)
-//	                    it is served from rank 1 of the maintained chain
-//	                    and the single-region engines are dropped
+//	                    served from rank 1 of the maintained top-k chain
+//	                    (aG2 and Oracle: from their single-region engine)
 //	GET  /v1/topk?k=N   greedy top-k over the live windows, answered O(1)
-//	                    from the continuously maintained kCCS answer
-//	                    (?mode=replay forces the checkpoint-replay path)
+//	                    from the maintained chain; k defaults to surged
+//	                    -topk and may not exceed it (400 "k_exceeds_topk")
 //	GET  /v1/subscribe  Server-Sent Events: a "hello" event with the
 //	                    current state, then one "burst" event per bursty-
 //	                    region change and one "topk" event per top-k
@@ -395,55 +392,49 @@
 //
 // # Continuous top-k serving
 //
-// The server maintains the top-k answer continuously instead of computing
-// it per query: a kCCS top-k detector is attached to the ingest detector's
-// event stream (Detector.AttachTopK), refreshed after every applied batch,
-// and published as an immutable snapshot that GET /v1/topk serves with one
-// atomic load — O(1) per query regardless of stream size, with no garbage
-// and no loop round-trip. On a sharded server the maintained engines ride
-// the shard workers — per-event maintenance is distributed exactly like
-// detection (each (event, cell) pair is processed by exactly one shard, so
-// sharding adds no duplicated maintenance work), off the event-loop thread,
-// and the per-batch refresh is the cross-shard merge, which re-solves only
-// the shards around the committed ranks. Any k up to
-// the maintained one (surged -topk, default 5) is served as a prefix of the
-// snapshot, the greedy chain being prefix-stable; larger k fall back to the
-// replay path, which checkpoints the live windows into a pooled buffer and
-// replays them into a fresh single-engine detector off the loop
-// (?mode=replay forces it, surged -topk 0 makes it the only path).
+// The server has one serving path: every query maintains its top-k answer
+// continuously instead of computing it per request. A top-k chain (kCCS;
+// kGAPS/kMGAPS for the grid approximations; the naive greedy chain for
+// Oracle) is attached to the query's ingest detector
+// (Detector.AttachTopKBest), refreshed after every applied
+// batch, and published as an immutable snapshot that GET /v1/topk serves
+// with one atomic load — O(1) per query regardless of stream size, with no
+// garbage and no loop round-trip. On a sharded server the chain's engines
+// ride the shard workers — per-event maintenance is distributed exactly
+// like detection (each (event, cell) pair is processed by exactly one
+// shard, so sharding adds no duplicated maintenance work), off the
+// event-loop thread, and the per-batch refresh is the cross-shard merge,
+// which re-solves only the shards around the committed ranks. Any k up to
+// the maintained one (surged -topk, default 5; QueryConfig.TopK per query)
+// is served as a prefix of the snapshot, the greedy chain being
+// prefix-stable; a larger k answers 400 with code "k_exceeds_topk"
+// (client.CodeKExceedsTopK).
 //
-// With a maintained chain attached, the chain is the server's only engine:
-// rank 1 of the greedy chain over the unconstrained plane is exactly the
-// single-region answer (the first problem of the chain is the single-region
-// problem), so /v1/best and the "burst" SSE stream are served from the
-// maintained snapshot's rank 1 (Detector.AttachTopKBest) and the
-// single-region engines are dropped at attach rather than run in parallel.
-// Equal-score selections follow one canonical order (core.CompareTopK:
-// score, then region coordinates) across every engine family and the
-// coordinator, which is what keeps the chain-served answer bitwise equal to
-// the engine-served one. The pre-change dual-engine layout — engines for
-// /v1/best, chain for /v1/topk — remains available for comparison behind
-// surged -best-from-engines; BENCH_topk.json prices both
-// (ingest_overhead_pct, bestserve_ingest_gain_pct: on a 1-CPU box the
-// unified layout ingests ~70% faster than the dual layout it replaced, and
-// maintained top-k costs ~5% versus a server with no top-k at all). The
-// exceptions are the engines with no chain variant (AG2, Oracle): they keep
-// their single-region engines, and BestFromEngines is implied.
+// The chain is also the query's only engine: rank 1 of the greedy chain
+// over the unconstrained plane is exactly the single-region answer (the
+// first problem of the chain is the single-region problem), so /v1/best
+// and the "burst" SSE stream are served from the maintained snapshot's
+// rank 1 and the single-region engines are dropped at attach rather than
+// run in parallel. Equal-score selections follow one canonical order
+// (core.CompareTopK: score, then region coordinates) across every engine
+// family and the coordinator, which is what keeps the chain-served answer
+// bitwise equal to the engine-served one. The exceptions are the engines
+// whose single-region answer no chain reproduces bitwise (AG2, Oracle):
+// they keep their single-region engine for /v1/best beside the chain
+// (Detector.AttachTopK), and AG2 queries are ranked by kCCS.
 //
 // The kCCS engine keeps its per-cell state canonical — arrival-ordered
 // object storage, candidate scores maintained as arrival-order folds,
 // levels a pure function of the live content — so the continuously
 // maintained answer is bitwise identical (scores) to replaying a
-// checkpoint of the same windows: the fast path and the escape hatch are
-// interchangeable, which the randomized equivalence tests pin down for
-// kCCS, kGAPS and kMGAPS (the grid engines report canonical folds too).
-// Top-k rank changes are pushed to subscribers as "topk" SSE events; the
-// maintenance cost on the ingest path is tracked by the topkserve
-// benchmark (BENCH_topk.json). A detector whose pipeline fails keeps
+// checkpoint of the same windows into RestoreTopK, which the randomized
+// equivalence tests pin down for kCCS, kGAPS and kMGAPS (the grid engines
+// report canonical folds too); the server tests replay a query's
+// /v1/snapshot that way as their oracle. Top-k rank changes are pushed to
+// subscribers as "topk" SSE events. A detector whose pipeline fails keeps
 // serving its last good answer and records the failure (Detector.Err);
 // /healthz then reports it with a 503 so orchestrators recycle the
-// instance. Known follow-up: aG2 still has no top-k variant (kCCS
-// substitutes).
+// instance.
 //
 // # Observability
 //

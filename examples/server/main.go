@@ -5,7 +5,8 @@
 //  1. subscribe to the SSE feed of bursty-region changes,
 //  2. stream a planted-burst workload from two concurrent NDJSON
 //     ingesters into the sharded detector,
-//  3. query /v1/best and the on-demand /v1/topk,
+//  3. query /v1/best and /v1/topk, and check the maintained top-k
+//     against an in-process replay of a /v1/snapshot,
 //  4. snapshot the detector over HTTP and restore the checkpoint into a
 //     second server with a different shard count — same answer,
 //  5. read a few Prometheus counters from /metrics.
@@ -108,8 +109,9 @@ func main() {
 	st, err := c.Best(ctx)
 	check(err)
 	fmt.Printf("best: t=%.0f live=%d shards=%d score %.1f\n", st.Now, st.Live, st.Shards, st.Result.Score)
-	// /v1/topk is served O(1) from the continuously maintained answer;
-	// ?mode=replay recomputes from a checkpoint and must agree bitwise.
+	// /v1/topk is served O(1) from the continuously maintained chain; a
+	// replay of the query's /v1/snapshot into a fresh top-k detector, in
+	// process, recomputes it from the live windows and must agree bitwise.
 	tk, err := c.TopK(ctx, 3)
 	check(err)
 	for i, r := range tk.Results {
@@ -117,24 +119,25 @@ func main() {
 			fmt.Printf("top-%d (%s, continuous=%v): score %.1f\n", i+1, tk.Algorithm, tk.Continuous, r.Score)
 		}
 	}
-	rep, err := c.TopKMode(ctx, 3, "replay")
+	ckpt, err := c.Snapshot(ctx)
+	check(err)
+	rep, err := surge.RestoreTopK(surge.CellCSPOT, ckpt, 3)
 	check(err)
 	agree := true
-	for i := range tk.Results {
-		if tk.Results[i].Found != rep.Results[i].Found ||
-			math.Float64bits(tk.Results[i].Score) != math.Float64bits(rep.Results[i].Score) {
-			fmt.Printf("top-%d: continuous %.6f != replay %.6f\n", i+1, tk.Results[i].Score, rep.Results[i].Score)
+	for i, r := range rep.BestK() {
+		if tk.Results[i].Found != r.Found ||
+			math.Float64bits(tk.Results[i].Score) != math.Float64bits(r.Score) {
+			fmt.Printf("top-%d: continuous %.6f != replay %.6f\n", i+1, tk.Results[i].Score, r.Score)
 			agree = false
 		}
 	}
+	check(rep.Close())
 	if agree {
-		fmt.Println("continuous top-k == checkpoint replay, bit for bit")
+		fmt.Println("continuous top-k == snapshot replay, bit for bit")
 	}
 
-	// 4. Snapshot over HTTP, restore into a fresh server with another
-	// shard count; the checkpoint is engine- and shard-independent.
-	ckpt, err := c.Snapshot(ctx)
-	check(err)
+	// 4. Restore the snapshot into a fresh server with another shard
+	// count; the checkpoint is engine- and shard-independent.
 	cfg2 := cfg
 	cfg2.Options.Shards = 2
 	c2, shutdown2 := serve(cfg2)

@@ -32,9 +32,8 @@ type Options struct {
 	MaxApprox int
 	// JSONDir, when non-empty, is where experiments that emit
 	// machine-readable results ("serve" -> BENCH_serve.json, "shards" ->
-	// BENCH_shards.json, "hotpath" -> BENCH_hotpath.json, "topkserve" ->
-	// BENCH_topk.json, "tenancy" -> BENCH_tenancy.json) write their JSON
-	// files. Empty disables the files.
+	// BENCH_shards.json, "hotpath" -> BENCH_hotpath.json, "tenancy" ->
+	// BENCH_tenancy.json) write their JSON files. Empty disables the files.
 	JSONDir string
 	// ObsOverheadMaxPct, when > 0, makes the hotpath experiment fail loudly
 	// if the observability instrumentation costs more than this percentage
@@ -57,7 +56,7 @@ func DefaultOptions(out io.Writer) Options {
 
 // Experiments returns the registry of experiment ids in run order.
 func Experiments() []string {
-	return []string{"table1", "fig5", "table2", "fig6", "fig7", "table3", "table4", "fig8", "fig9", "case", "ablation", "roadnet", "shards", "serve", "hotpath", "topkserve", "tenancy"}
+	return []string{"table1", "fig5", "table2", "fig6", "fig7", "table3", "table4", "fig8", "fig9", "case", "ablation", "roadnet", "shards", "serve", "hotpath", "tenancy"}
 }
 
 // Run executes one experiment by id.
@@ -93,8 +92,6 @@ func Run(id string, o Options) error {
 		return Serve(o)
 	case "hotpath":
 		return Hotpath(o)
-	case "topkserve":
-		return TopKServe(o)
 	case "tenancy":
 		return Tenancy(o)
 	default:

@@ -169,10 +169,6 @@ func Hotpath(o Options) error {
 			},
 			TimePolicy: server.Clamp,
 			BatchSize:  512,
-			// This row tracks the ingest path itself across PRs; the cost
-			// of continuous top-k maintenance is measured separately (and
-			// against this same configuration) by the topkserve experiment.
-			TopKReplayOnly: true,
 		}
 		var s *server.Server
 		var err error
@@ -207,26 +203,7 @@ func Hotpath(o Options) error {
 		ack := obs.Default.Duration(obs.MIngestAck, "")
 		ack.Reset()
 		row, err := measureHotpath(name, len(approxObjs), func() error {
-			var wg sync.WaitGroup
-			errs := make([]error, len(bodies))
-			for g, body := range bodies {
-				wg.Add(1)
-				go func(g int, body []byte) {
-					defer wg.Done()
-					res, err := c.IngestStream(ctx, bytes.NewReader(body), client.NDJSON)
-					if err == nil && res.Accepted == 0 {
-						err = fmt.Errorf("ingester %d: nothing accepted", g)
-					}
-					errs[g] = err
-				}(g, body)
-			}
-			wg.Wait()
-			for _, err := range errs {
-				if err != nil {
-					return err
-				}
-			}
-			return nil
+			return ingestBodies(ctx, c, bodies)
 		})
 		row.Shards = shards
 		snap := ack.Snapshot()
@@ -432,6 +409,31 @@ func toSurgeObjects(objs []core.Object) []surge.Object {
 		out[i] = surge.Object{X: ob.X, Y: ob.Y, Weight: ob.Weight, Time: ob.T}
 	}
 	return out
+}
+
+// ingestBodies streams the bodies through concurrent ingesters, one per
+// body.
+func ingestBodies(ctx context.Context, c *client.Client, bodies [][]byte) error {
+	var wg sync.WaitGroup
+	errs := make([]error, len(bodies))
+	for g, body := range bodies {
+		wg.Add(1)
+		go func(g int, body []byte) {
+			defer wg.Done()
+			res, err := c.IngestStream(ctx, bytes.NewReader(body), client.NDJSON)
+			if err == nil && res.Accepted == 0 {
+				err = fmt.Errorf("ingester %d: nothing accepted", g)
+			}
+			errs[g] = err
+		}(g, body)
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // ndjsonBodies splits objs round-robin into n pre-encoded NDJSON ingest

@@ -151,7 +151,7 @@ func tenancyIngestOnce(o Options, qw, qh, window float64, tenants int, shared bo
 	}()
 	c := client.New(ts.URL)
 	start := time.Now()
-	if err := topkIngestBodies(context.Background(), c, bodies); err != nil {
+	if err := ingestBodies(context.Background(), c, bodies); err != nil {
 		return tenancyRow{}, err
 	}
 	elapsed := time.Since(start)

@@ -215,13 +215,6 @@ type Engine interface {
 	Best() Result
 }
 
-// TestEngineWrap, when non-nil, wraps every engine the surge package builds.
-// It exists for fault-injection tests only — the serving layer uses it to
-// plant a panicking engine inside a shard worker and assert the pipeline's
-// panic containment end to end. Production code never sets it, so the
-// nil check is the entire steady-state cost.
-var TestEngineWrap func(Engine) Engine
-
 // TopKEngine is the common interface of the top-k detectors.
 type TopKEngine interface {
 	Process(ev Event)
@@ -257,6 +250,14 @@ type TopKShard interface {
 	// answer old — but are not covered by sel — become visible again.
 	ApplyRank(i int, old, sel Result)
 }
+
+// TestEngineWrap, when non-nil, wraps every per-shard top-k chain engine the
+// surge package builds — the engines a sharded server runs. It exists for
+// fault-injection tests only: the serving layer uses it to plant a
+// panicking engine inside a shard worker and assert the pipeline's panic
+// containment end to end. Production code never sets it, so the nil check
+// is the entire steady-state cost.
+var TestEngineWrap func(TopKShard) TopKShard
 
 // CompareTopK is the canonical selection order of the top-k merges: found
 // before not-found, higher score first, exact score ties broken on the

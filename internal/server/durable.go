@@ -554,13 +554,11 @@ func (s *Server) captureRegistry() (regCapture, error) {
 			idx[sl] = si
 		}
 		rc.metas = append(rc.metas, queryMeta{
-			ID:              t.id,
-			Slot:            si,
-			Algorithm:       t.cfg.Algorithm.String(),
-			Options:         t.cfg.Options,
-			TopK:            t.cfg.TopK,
-			TopKReplayOnly:  t.cfg.TopKReplayOnly,
-			BestFromEngines: t.cfg.BestFromEngines,
+			ID:        t.id,
+			Slot:      si,
+			Algorithm: t.cfg.Algorithm.String(),
+			Options:   t.cfg.Options,
+			TopK:      t.cfg.TopK,
 		})
 		if t.isDefault {
 			rc.defSlot = si
@@ -735,13 +733,11 @@ var (
 // through JSON exactly (Go encodes float64 shortest-round-trip), so a
 // restored config hashes to the same sharing key.
 type queryMeta struct {
-	ID              string        `json:"id"`
-	Slot            int           `json:"slot"` // index into the blob table
-	Algorithm       string        `json:"algorithm"`
-	Options         surge.Options `json:"options"`
-	TopK            int           `json:"topk"`
-	TopKReplayOnly  bool          `json:"topk_replay_only,omitempty"`
-	BestFromEngines bool          `json:"best_from_engines,omitempty"`
+	ID        string        `json:"id"`
+	Slot      int           `json:"slot"` // index into the blob table
+	Algorithm string        `json:"algorithm"`
+	Options   surge.Options `json:"options"`
+	TopK      int           `json:"topk"`
 }
 
 // regCapture is a mutually consistent checkpoint of the whole registry:
@@ -809,13 +805,7 @@ func checkpointSeeds(cfg Config, ck *durableCheckpoint) ([]tenantSeed, error) {
 			if err != nil {
 				return nil, fmt.Errorf("server: corrupt durable checkpoint: query %q: %w", m.ID, err)
 			}
-			tc = tenantConfig{
-				Algorithm:       alg,
-				Options:         m.Options,
-				TopK:            m.TopK,
-				TopKReplayOnly:  m.TopKReplayOnly,
-				BestFromEngines: m.BestFromEngines,
-			}
+			tc = tenantConfig{Algorithm: alg, Options: m.Options, TopK: m.TopK}
 			if tc.TopK < 1 {
 				tc.TopK = cfg.TopK
 			}

@@ -14,9 +14,10 @@ import (
 	"surge/internal/core"
 )
 
-// boomEngine wraps a real shard engine and panics in Process once armed.
+// boomEngine wraps a real per-shard chain engine and panics in Process once
+// armed.
 type boomEngine struct {
-	core.Engine
+	core.TopKShard
 	arm *atomic.Bool
 }
 
@@ -24,30 +25,26 @@ func (e *boomEngine) Process(ev core.Event) {
 	if e.arm.Load() {
 		panic("injected shard engine panic")
 	}
-	e.Engine.Process(ev)
+	e.TopKShard.Process(ev)
 }
 
-// TestShardPanicDegradesWithoutDeadlock plants a panicking engine inside a
-// shard worker via the core.TestEngineWrap hook and drives the full serving
+// TestShardPanicDegradesWithoutDeadlock plants a panicking top-k chain
+// engine inside a shard worker via the core.TestEngineWrap hook and drives the full serving
 // stack over it: the panic must surface as a pipeline error (ingest 5xx,
 // /healthz unhealthy with the panic text) while /v1/best keeps answering
 // from the stale snapshot, and Close must return — the shard barrier may
 // never deadlock on the crashed worker. Run under -race in CI.
 func TestShardPanicDegradesWithoutDeadlock(t *testing.T) {
 	var arm atomic.Bool
-	core.TestEngineWrap = func(e core.Engine) core.Engine {
-		return &boomEngine{Engine: e, arm: &arm}
+	core.TestEngineWrap = func(e core.TopKShard) core.TopKShard {
+		return &boomEngine{TopKShard: e, arm: &arm}
 	}
 	defer func() { core.TestEngineWrap = nil }()
 
-	// BestFromEngines keeps the single-region engines alive (the default
-	// chain-serving layout retires them, and the wrap hook only covers
-	// engines built through surge's newEngine).
 	s, _, c := newTestServer(t, Config{
-		Algorithm:       surge.CellCSPOT,
-		Options:         testOptions(3),
-		TimePolicy:      Strict,
-		BestFromEngines: true,
+		Algorithm:  surge.CellCSPOT,
+		Options:    testOptions(3),
+		TimePolicy: Strict,
 	})
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()

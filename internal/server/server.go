@@ -99,23 +99,14 @@ func ParseTimePolicy(s string) (TimePolicy, error) {
 type Config struct {
 	Algorithm surge.Algorithm
 	Options   surge.Options
-	// TopK is the k of the continuously maintained top-k detector and the
-	// default k of /v1/topk (0 = 5).
+	// TopK is the k of the continuously maintained top-k chain and the
+	// default k of /v1/topk (0 = 5). The chain is the only serving path:
+	// /v1/topk answers any k <= TopK as a prefix of it, and a k above it is
+	// rejected with 400 code "k_exceeds_topk". Its rank-1 region also
+	// answers /v1/best, except for AG2 and Oracle, whose single-region
+	// answers no chain reproduces bitwise: those keep their single-region
+	// engines for /v1/best.
 	TopK int
-	// TopKReplayOnly disables the continuously maintained top-k detector:
-	// /v1/topk then answers every query by checkpoint replay (the pre-
-	// maintenance behaviour) and no "topk" SSE events are published.
-	TopKReplayOnly bool
-	// BestFromEngines keeps the legacy dual-engine serving layout: the
-	// single-region engines answer /v1/best while the maintained top-k chain
-	// answers /v1/topk. By default (false), an algorithm whose chain rank-1
-	// answer is bitwise its single-region answer retires the single-region
-	// engines and serves both endpoints from the one maintained chain
-	// (surge.Detector.AttachTopKBest), removing the duplicated per-event
-	// engine maintenance from the ingest path. Ignored when TopKReplayOnly
-	// is set (no chain is maintained) and for algorithms without an exact
-	// chain counterpart (AG2, Oracle).
-	BestFromEngines bool
 	// Queries declares named queries registered at boot alongside the
 	// default query (surged serve -queries). Zero fields inherit the
 	// defaults above; more queries can be added at runtime via
@@ -209,11 +200,6 @@ type Server struct {
 	// s.batch) across requests, keeping the ingest hot path allocation-free.
 	chunkPool sync.Pool
 
-	// ckptPool recycles the checkpoint buffers of replay-mode top-k
-	// queries, so the escape hatch does not allocate a fresh snapshot per
-	// request.
-	ckptPool sync.Pool
-
 	// wal is the durability attachment (NewDurable); nil on a plain server.
 	// Its log is appended on the event loop inside applyLogged.
 	wal   *walState
@@ -254,7 +240,6 @@ type Server struct {
 	restores  atomic.Uint64
 
 	topkFast   atomic.Uint64 // topk queries answered from a maintained snapshot
-	topkReplay atomic.Uint64 // topk queries answered by checkpoint replay
 	topkNotifs atomic.Uint64 // top-k notifications published (all queries)
 
 	log           *slog.Logger  // never nil; discards when Config.Logger is nil
@@ -347,7 +332,6 @@ func newServer(cfg Config, seeds []tenantSeed) (*Server, error) {
 		c := make([]surge.Object, 0, s.batch)
 		return &c
 	}
-	s.ckptPool.New = func() any { return new([]byte) }
 	s.hubOcc = obs.Default.Values(obs.MSSEBuffer, "Per-subscriber buffer occupancy observed at broadcast.")
 	s.pool = shard.NewPool(runtime.GOMAXPROCS(0))
 
@@ -395,8 +379,7 @@ func newServer(cfg Config, seeds []tenantSeed) (*Server, error) {
 		"algorithm", cfg.Algorithm.String(),
 		"shards", s.defTenant.slot.Load().statShards,
 		"topk", cfg.TopK,
-		"continuous_topk", !cfg.TopKReplayOnly,
-		"best_from_chain", s.defTenant.cfg.serveBestFromChain(),
+		"best_from_chain", chainServesBest(cfg.Algorithm),
 		"restored", cfg.Checkpoint != nil,
 		"queries", len(s.order),
 		"engine_slots", len(s.slots))
@@ -869,15 +852,12 @@ func (s *Server) publishTenant(t *tenant, sl *engineSlot) {
 // a restore that reproduced the same answer — is adopted silently.
 func (s *Server) refreshTenantTopK(t *tenant, sl *engineSlot) {
 	snap := sl.tkSnap
-	if snap == nil {
-		return
-	}
 	old := t.topkSnap.Load()
 	if old == snap {
 		return
 	}
 	t.topkSnap.Store(snap)
-	if old != nil && topkWireEqual(old, snap) {
+	if topkWireEqual(old, snap) {
 		return
 	}
 	t.tkSeq++
@@ -1094,22 +1074,15 @@ func (s *Server) handleBest(t *tenant, w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, st)
 }
 
-// handleTopK serves one query's top-k bursty regions. The fast path — the
-// default whenever the query maintains continuous top-k and the requested
-// k is covered — is one atomic load of the snapshot the event loop keeps
-// current: O(1) per request, off the loop, allocation-free. The greedy
-// chain is prefix-stable (rank i never depends on ranks > i), so any k <=
-// the maintained K is served as a prefix of the snapshot.
-//
-// ?mode=replay is the escape hatch (and the path for k beyond the
-// maintained K): the query's live windows are checkpointed on the loop into
-// a pooled buffer, then replayed into a fresh top-k detector off the loop,
-// so even an expensive replay query never stalls ingestion. The canonically
-// rescored kCCS makes both paths report bitwise identical scores.
+// handleTopK serves one query's top-k bursty regions with one atomic load
+// of the snapshot the event loop keeps current: O(1) per request, off the
+// loop, allocation-free. The greedy chain is prefix-stable (rank i never
+// depends on ranks > i), so any k <= the maintained K is served as a prefix
+// of the snapshot; a larger k is rejected with code "k_exceeds_topk".
 func (s *Server) handleTopK(t *tenant, w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query()
-	k := t.cfg.TopK
-	if qk := q.Get("k"); qk != "" {
+	snap := t.topkSnap.Load()
+	k := snap.K
+	if qk := r.URL.Query().Get("k"); qk != "" {
 		v, err := strconv.Atoi(qk)
 		if err != nil || v < 1 || v > 1000 {
 			writeError(w, http.StatusBadRequest, fmt.Errorf("server: invalid k %q", qk), 0)
@@ -1117,73 +1090,17 @@ func (s *Server) handleTopK(t *tenant, w http.ResponseWriter, r *http.Request) {
 		}
 		k = v
 	}
-	mode := q.Get("mode")
-	switch mode {
-	case "", "auto", "continuous", "replay":
-	default:
-		writeError(w, http.StatusBadRequest, fmt.Errorf("server: unknown top-k mode %q (want continuous or replay)", mode), 0)
+	if k > snap.K {
+		writeErrorCode(w, http.StatusBadRequest, client.CodeKExceedsTopK, 0,
+			fmt.Errorf("server: k=%d exceeds query %q's maintained top-k (k=%d)", k, t.id, snap.K), 0)
 		return
 	}
-	if mode != "replay" {
-		if snap := t.topkSnap.Load(); snap != nil && k <= snap.K {
-			t.topkFast.Add(1)
-			s.topkFast.Add(1)
-			out := *snap
-			if k < snap.K {
-				out.K = k
-				out.Results = snap.Results[:k]
-			}
-			writeJSON(w, out)
-			return
-		}
-		if mode == "continuous" {
-			writeError(w, http.StatusBadRequest,
-				fmt.Errorf("server: no maintained top-k covers k=%d for query %q (maintained k=%d, continuous=%v); drop mode or use mode=replay",
-					k, t.id, t.cfg.TopK, !t.cfg.TopKReplayOnly), 0)
-			return
-		}
-	}
-	t.topkReplay.Add(1)
-	s.topkReplay.Add(1)
-	bufp := s.ckptPool.Get().(*[]byte)
-	defer s.ckptPool.Put(bufp)
-	var data []byte
-	var cerr error
-	if err := s.do(func() {
-		if t.dead {
-			cerr = errUnknownQuery
-			return
-		}
-		data, cerr = t.slot.Load().det.AppendCheckpoint((*bufp)[:0])
-		s.snapshots.Add(1)
-		t.snapshots.Add(1)
-	}); err != nil {
-		writeError(w, http.StatusServiceUnavailable, err, 0)
-		return
-	}
-	if cerr != nil {
-		if errors.Is(cerr, errUnknownQuery) {
-			writeErrorCode(w, http.StatusNotFound, client.CodeUnknownQuery, 0, cerr, 0)
-			return
-		}
-		writeError(w, http.StatusInternalServerError, cerr, 0)
-		return
-	}
-	*bufp = data // keep the grown capacity pooled for the next query
-	alg := topKAlgorithm(t.cfg.Algorithm)
-	// Replay answers one request and is thrown away: restore into the
-	// single-engine path regardless of the checkpoint's recorded shard
-	// count (spinning a shard pipeline up per request would cost more than
-	// the query; the sharded and single-engine chains answer identically).
-	td, err := surge.RestoreTopKSharded(alg, data, k, 0, 0)
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, err, 0)
-		return
-	}
-	results := td.BestK()
-	out := client.TopK{K: k, Algorithm: alg.String(), Results: make([]client.Result, len(results))}
-	for i, res := range results {
-		out.Results[i] = client.FromResult(res)
+	t.topkFast.Add(1)
+	s.topkFast.Add(1)
+	out := *snap
+	if k < snap.K {
+		out.K = k
+		out.Results = snap.Results[:k]
 	}
 	writeJSON(w, out)
 }
@@ -1205,8 +1122,8 @@ func topKAlgorithm(alg surge.Algorithm) surge.Algorithm {
 // the exact bursty region the kCCS chain's first problem solves) and the
 // grid approximations paired with their own chains (GAPS with kGAPS, MGAPS
 // with kMGAPS). AG2 answers differ from the exact chain's, and the Oracle
-// top-k uses its own recomputation fold, so both keep the dual-engine
-// layout.
+// top-k uses its own recomputation fold, so both keep their single-region
+// engines for Best beside the chain (AttachTopK).
 func chainServesBest(alg surge.Algorithm) bool {
 	switch alg {
 	case surge.CellCSPOT, surge.StaticBound, surge.Baseline, surge.GridApprox, surge.MultiGrid:
@@ -1355,11 +1272,9 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 				derr = fmt.Errorf("query %q: %w", t.id, e)
 				break
 			}
-			if sl.tdet != nil {
-				if e := sl.tdet.Err(); e != nil {
-					derr = fmt.Errorf("query %q: %w", t.id, e)
-					break
-				}
+			if e := sl.tdet.Err(); e != nil {
+				derr = fmt.Errorf("query %q: %w", t.id, e)
+				break
 			}
 		}
 		if derr != nil {
@@ -1420,15 +1335,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	writeMetric(w, "surge_notifications_total", "counter", "Bursty-region change notifications published (all queries).", float64(s.notifs.Load()))
 	writeMetric(w, "surge_notifications_dropped_total", "counter", "Notifications lost to slow subscribers (all queries).", float64(s.dropped.Load()))
 	writeMetric(w, "surge_topk_fast_queries_total", "counter", "Top-k requests served from a maintained snapshot.", float64(s.topkFast.Load()))
-	writeMetric(w, "surge_topk_replay_queries_total", "counter", "Top-k requests served by checkpoint replay.", float64(s.topkReplay.Load()))
 	writeMetric(w, "surge_topk_notifications_total", "counter", "Top-k change notifications published (all queries).", float64(s.topkNotifs.Load()))
-	continuous := 0.0
-	if dslot.tdet != nil {
-		continuous = 1
-	}
-	writeMetric(w, "surge_topk_continuous", "gauge", "Whether a continuously maintained top-k detector is serving the default query's /v1/topk.", continuous)
 	fromChain := 0.0
-	if dt.cfg.serveBestFromChain() {
+	if chainServesBest(dt.cfg.Algorithm) {
 		fromChain = 1
 	}
 	writeMetric(w, "surge_best_from_chain", "gauge", "Whether /v1/best is served from the maintained top-k chain's rank-1 region.", fromChain)

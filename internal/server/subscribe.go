@@ -220,8 +220,8 @@ func (sub *subscriber) trySend(f frame) bool {
 
 // handleSubscribe streams detection changes as Server-Sent Events: a
 // "hello" event carrying the current State, then one "burst" event
-// (Notification) per bursty-region change and — when the server maintains
-// continuous top-k — one "topk" event (TopKNotification) per top-k change.
+// (Notification) per bursty-region change and one "topk" event
+// (TopKNotification) per top-k change.
 // The hello is sent only after the subscriber is registered, so a client
 // that has read it observes every subsequent change (modulo the accounted
 // slow-consumer drops).

@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"io"
 	"net/http"
@@ -537,6 +538,73 @@ func TestDurableV1CheckpointCompat(t *testing.T) {
 	if ck2.metas == nil || len(ck2.metas) != 1 || ck2.metas[0].ID != DefaultQueryID {
 		t.Fatalf("shutdown did not upgrade the checkpoint to the registry format: %+v", ck2.metas)
 	}
+}
+
+// TestDurableLegacyLayoutCheckpointCompat boots from a registry ("SURGEDC2")
+// checkpoint written when queries could still opt out of the maintained
+// chain: every query meta carries the two retired layout fields of
+// testdata/legacy_layout_meta.json, set. The checkpoint must still load,
+// and every query must serve — from the maintained chain, the only layout
+// left — bitwise the same best and top-k as an uninterrupted server.
+func TestDurableLegacyLayoutCheckpointCompat(t *testing.T) {
+	objs := testObjects(59, 400, 4)
+	cfg := Config{Options: testOptions(1), BatchSize: 64, TopK: 3}
+	refCfg := cfg
+	refCfg.Queries = []client.QueryConfig{{ID: "legacy", Algorithm: "GAPS", Width: 2}}
+
+	// Uninterrupted reference: the default query plus the runtime query the
+	// checkpoint records.
+	legacy, err := os.ReadFile(filepath.Join("testdata", "legacy_layout_meta.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rs, _, ref := newTestServer(t, refCfg)
+	streamBatches(t, ref, objs[:300], 50)
+	ctx := context.Background()
+	var blobs [][]byte
+	var metas []map[string]any
+	for i, id := range []string{DefaultQueryID, "legacy"} {
+		ck, err := ref.Query(id).Snapshot(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		blobs = append(blobs, ck)
+		tc := rs.tenants[id].cfg
+		m := map[string]any{}
+		if err := json.Unmarshal(legacy, &m); err != nil {
+			t.Fatal(err)
+		}
+		m["id"], m["slot"], m["algorithm"] = id, i, tc.Algorithm.String()
+		m["options"], m["topk"] = tc.Options, tc.TopK
+		metas = append(metas, m)
+	}
+	mj, err := json.Marshal(metas)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v2 := append([]byte{}, ckptMagic[:]...)
+	v2 = binary.LittleEndian.AppendUint64(v2, 0)
+	v2 = binary.LittleEndian.AppendUint32(v2, 2)
+	v2 = append(v2, '{', '}')
+	v2 = binary.LittleEndian.AppendUint32(v2, uint32(len(mj)))
+	v2 = append(v2, mj...)
+	v2 = binary.LittleEndian.AppendUint32(v2, uint32(len(blobs)))
+	for _, b := range blobs {
+		v2 = binary.LittleEndian.AppendUint32(v2, uint32(len(b)))
+		v2 = append(v2, b...)
+	}
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "surge.ckpt"), v2, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	_, _, c := newDurableTestServer(t, dir, cfg, DurableConfig{Sync: wal.SyncOff})
+	assertQueriesAgree(t, "default from legacy-layout checkpoint", c, ref)
+	assertQueriesAgree(t, "legacy from legacy-layout checkpoint", c.Query("legacy"), ref.Query("legacy"))
+	streamBatches(t, c, objs[300:], 50)
+	streamBatches(t, ref, objs[300:], 50)
+	assertQueriesAgree(t, "default after recovery", c, ref)
+	assertQueriesAgree(t, "legacy after recovery", c.Query("legacy"), ref.Query("legacy"))
 }
 
 // TestMultiQueryMetricsAndStats spot-checks the per-query observability

@@ -20,11 +20,9 @@ const DefaultQueryID = "default"
 // are answer-identical by construction, which is what lets the registry
 // host them on one shared engine slot.
 type tenantConfig struct {
-	Algorithm       surge.Algorithm
-	Options         surge.Options
-	TopK            int
-	TopKReplayOnly  bool
-	BestFromEngines bool
+	Algorithm surge.Algorithm
+	Options   surge.Options
+	TopK      int
 }
 
 // key renders the engine-defining configuration as a slot-sharing key.
@@ -36,17 +34,10 @@ func (c tenantConfig) key() string {
 		area = fmt.Sprintf("%v", *c.Options.Area)
 	}
 	o := c.Options
-	return fmt.Sprintf("%d|%v|%v|%v|%v|%v|%s|%v|%t|%d|%d|%d|%d|%t|%t",
+	return fmt.Sprintf("%d|%v|%v|%v|%v|%v|%s|%v|%t|%d|%d|%d|%d",
 		c.Algorithm, o.Width, o.Height, o.Window, o.PastWindow, o.Alpha,
 		area, o.AG2Gamma, o.CountWindows, o.Shards, o.ShardBlockCols,
-		o.ShardFlushEvents, c.TopK, c.TopKReplayOnly, c.BestFromEngines)
-}
-
-// serveBestFromChain reports whether this configuration retires the
-// single-region engines and serves best from the maintained chain's rank-1
-// region (see Config.BestFromEngines).
-func (c tenantConfig) serveBestFromChain() bool {
-	return !c.TopKReplayOnly && !c.BestFromEngines && chainServesBest(c.Algorithm)
+		o.ShardFlushEvents, c.TopK)
 }
 
 // engineSlot hosts one detector (plus its maintained top-k chain) for one
@@ -66,7 +57,7 @@ type engineSlot struct {
 	refs   atomic.Int32 // tenants bound to this slot; loop-owned writes
 
 	det  *surge.Detector
-	tdet *surge.TopKDetector // nil when cfg.TopKReplayOnly
+	tdet *surge.TopKDetector
 
 	// clock is this slot's stream clock: the largest timestamp its engine
 	// has ingested. Per-slot, not global, so a tenant created mid-stream or
@@ -173,14 +164,12 @@ func (sl *engineSlot) apply(objs []surge.Object, policy TimePolicy) {
 }
 
 // refreshTopKLocal recomputes the slot's top-k wire snapshot when the
-// maintained answer changed (bitwise). The snapshot pointer is the change
-// signal the loop uses per tenant: a new pointer means a new answer.
+// maintained answer changed (bitwise), or builds the first one when the
+// slot is new. The snapshot pointer is the change signal the loop uses per
+// tenant: a new pointer means a new answer.
 func (sl *engineSlot) refreshTopKLocal() {
-	if sl.tdet == nil {
-		return
-	}
 	res := sl.tdet.BestK()
-	if topkEqual(res, sl.lastTopK) {
+	if sl.tkSnap != nil && topkEqual(res, sl.lastTopK) {
 		return
 	}
 	sl.lastTopK = append(sl.lastTopK[:0], res...)
@@ -249,7 +238,6 @@ type tenant struct {
 	dropped    atomic.Uint64
 	topkNotifs atomic.Uint64
 	topkFast   atomic.Uint64
-	topkReplay atomic.Uint64
 	snapshots  atomic.Uint64
 	restores   atomic.Uint64
 	clamped    atomic.Uint64
@@ -285,31 +273,17 @@ func (s *Server) buildSlot(cfg tenantConfig, ckpt []byte) (*engineSlot, error) {
 		return nil, err
 	}
 	sl := &engineSlot{cfg: cfg, key: cfg.key(), det: det, clock: det.Now()}
-	if !cfg.TopKReplayOnly {
-		alg := topKAlgorithm(cfg.Algorithm)
-		var td *surge.TopKDetector
-		if cfg.serveBestFromChain() {
-			td, err = det.AttachTopKBest(alg, cfg.TopK)
-		} else {
-			td, err = det.AttachTopK(alg, cfg.TopK)
-		}
-		if err != nil {
-			det.Close()
-			return nil, err
-		}
-		sl.tdet = td
-		sl.lastTopK = append(sl.lastTopK, td.BestK()...)
-		snap := &client.TopK{
-			K:          td.K(),
-			Algorithm:  td.Algorithm().String(),
-			Continuous: true,
-			Results:    make([]client.Result, len(sl.lastTopK)),
-		}
-		for i, r := range sl.lastTopK {
-			snap.Results[i] = client.FromResult(r)
-		}
-		sl.tkSnap = snap
+	alg := topKAlgorithm(cfg.Algorithm)
+	if chainServesBest(cfg.Algorithm) {
+		sl.tdet, err = det.AttachTopKBest(alg, cfg.TopK)
+	} else {
+		sl.tdet, err = det.AttachTopK(alg, cfg.TopK)
 	}
+	if err != nil {
+		det.Close()
+		return nil, err
+	}
+	sl.refreshTopKLocal()
 	sl.pendRes = det.Best() // serve-from-chain may have swapped the source
 	sl.pendNow = det.Now()
 	sl.statShards = det.Shards()
@@ -327,9 +301,7 @@ func (s *Server) newTenant(id string, cfg tenantConfig, sl *engineSlot) *tenant 
 	t.last = sl.pendRes
 	lw := client.FromResult(sl.pendRes)
 	t.lastWire.Store(&lw)
-	if sl.tkSnap != nil {
-		t.topkSnap.Store(sl.tkSnap)
-	}
+	t.topkSnap.Store(sl.tkSnap)
 	t.hub.subs = make(map[*subscriber]struct{})
 	t.hub.ringCap = s.ringCap
 	t.hub.occ = s.hubOcc
@@ -373,13 +345,7 @@ func validQueryID(id string) bool {
 // values, TopK 0 inherits the default k, Shards 0 selects the single-engine
 // layout that rides the shared tenant workers.
 func resolveQuery(cfg Config, qc client.QueryConfig) (tenantConfig, error) {
-	tc := tenantConfig{
-		Algorithm:       cfg.Algorithm,
-		Options:         cfg.Options,
-		TopK:            cfg.TopK,
-		TopKReplayOnly:  qc.TopKReplayOnly,
-		BestFromEngines: qc.BestFromEngines,
-	}
+	tc := tenantConfig{Algorithm: cfg.Algorithm, Options: cfg.Options, TopK: cfg.TopK}
 	if qc.Algorithm != "" {
 		alg, err := surge.ParseAlgorithm(qc.Algorithm)
 		if err != nil {
@@ -422,13 +388,7 @@ func resolveQuery(cfg Config, qc client.QueryConfig) (tenantConfig, error) {
 
 // defaultTenantConfig is the resolved configuration of the default query.
 func defaultTenantConfig(cfg Config) tenantConfig {
-	return tenantConfig{
-		Algorithm:       cfg.Algorithm,
-		Options:         cfg.Options,
-		TopK:            cfg.TopK,
-		TopKReplayOnly:  cfg.TopKReplayOnly,
-		BestFromEngines: cfg.BestFromEngines,
-	}
+	return tenantConfig{Algorithm: cfg.Algorithm, Options: cfg.Options, TopK: cfg.TopK}
 }
 
 // bootSeeds builds the boot registry from a Config: the default query

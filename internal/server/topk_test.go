@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"errors"
 	"math"
 	"net/http"
 	"testing"
@@ -37,10 +38,37 @@ func bitEqualWireTopK(t *testing.T, label string, a, b *client.TopK) {
 	}
 }
 
+// replayTopK is the serving tests' oracle: it takes the query's
+// /v1/snapshot and replays it in process through surge.RestoreTopK into a
+// fresh top-k detector of the algorithm the server reports, returning its
+// k-answer in wire form.
+func replayTopK(ctx context.Context, t *testing.T, c *client.Client, alg string, k int) *client.TopK {
+	t.Helper()
+	ckpt, err := c.Snapshot(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := surge.ParseAlgorithm(alg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	td, err := surge.RestoreTopK(a, ckpt, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer td.Close()
+	out := &client.TopK{K: k, Algorithm: td.Algorithm().String()}
+	for _, r := range td.BestK() {
+		out.Results = append(out.Results, client.FromResult(r))
+	}
+	return out
+}
+
 // TestTopKContinuousMatchesReplay is the serving half of the equivalence
 // guarantee: at every checkpoint of a randomized ingest, the O(1)
-// continuous answer of /v1/topk equals the ?mode=replay escape hatch
-// bitwise — including the k-prefix fast path — on a sharded server.
+// continuous answer of /v1/topk equals an in-process replay of the query's
+// /v1/snapshot bitwise — including the k-prefix fast path — on a sharded
+// server.
 func TestTopKContinuousMatchesReplay(t *testing.T) {
 	objs := testObjects(97, 1200, 6)
 	_, _, c := newTestServer(t, Config{
@@ -60,17 +88,14 @@ func TestTopKContinuousMatchesReplay(t *testing.T) {
 		if !cont.Continuous || cont.K != 4 {
 			t.Fatalf("default query not served from the maintained answer: %+v", cont)
 		}
-		replay, err := c.TopKMode(ctx, 4, "replay")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if replay.Continuous {
-			t.Fatal("mode=replay served from the maintained answer")
+		replay := replayTopK(ctx, t, c, cont.Algorithm, 4)
+		if replay.Algorithm != cont.Algorithm {
+			t.Fatalf("replay ran %s, the server serves %s", replay.Algorithm, cont.Algorithm)
 		}
 		bitEqualWireTopK(t, "continuous vs replay", cont, replay)
 
 		// Prefix fast path: k=2 is the first two ranks of the maintained 4.
-		pre, err := c.TopKMode(ctx, 2, "continuous")
+		pre, err := c.TopK(ctx, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -84,44 +109,17 @@ func TestTopKContinuousMatchesReplay(t *testing.T) {
 		}
 	}
 
-	// k beyond the maintained K falls back to replay transparently...
-	wide, err := c.TopK(ctx, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if wide.Continuous || wide.K != 7 {
-		t.Fatalf("k beyond maintained K: %+v", wide)
-	}
-	// ...but an explicit mode=continuous is rejected rather than silently
-	// degraded.
-	if _, err := c.TopKMode(ctx, 7, "continuous"); err == nil {
-		t.Fatal("mode=continuous beyond the maintained k accepted")
-	}
-	if _, err := c.TopKMode(ctx, 3, "bogus"); err == nil {
-		t.Fatal("unknown mode accepted")
-	}
-}
-
-// TestTopKReplayOnly pins the escape configuration: with TopKReplayOnly
-// every query replays (the pre-maintenance behaviour) and mode=continuous
-// is rejected.
-func TestTopKReplayOnly(t *testing.T) {
-	objs := testObjects(101, 400, 6)
-	_, _, c := newTestServer(t, Config{
-		Algorithm: surge.CellCSPOT, Options: testOptions(2),
-		TimePolicy: Strict, TopK: 3, TopKReplayOnly: true,
-	})
-	ctx := context.Background()
-	ingestChunks(ctx, t, c, objs, 200)
-	tk, err := c.TopK(ctx, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tk.Continuous || tk.K != 3 || !tk.Results[0].Found {
-		t.Fatalf("replay-only topk %+v", tk)
-	}
-	if _, err := c.TopKMode(ctx, 3, "continuous"); err == nil {
-		t.Fatal("mode=continuous accepted in replay-only mode")
+	// k beyond the maintained K is rejected with a typed 400, on the legacy
+	// route and on the per-query route alike, rather than silently degraded.
+	for _, route := range []struct {
+		name string
+		api  queryAPI
+	}{{"legacy", c}, {"per-query", c.Query(DefaultQueryID)}} {
+		_, err := route.api.TopK(ctx, 5)
+		var werr *client.Error
+		if !errors.As(err, &werr) || werr.Status != http.StatusBadRequest || werr.Code != client.CodeKExceedsTopK {
+			t.Fatalf("%s route: k=K+1 error = %v, want 400 %s", route.name, err, client.CodeKExceedsTopK)
+		}
 	}
 }
 
@@ -385,7 +383,7 @@ func TestTopKFastPathAfterRestore(t *testing.T) {
 		Algorithm: surge.CellCSPOT, Options: testOptions(3), TimePolicy: Strict, TopK: 3,
 		Checkpoint: ckpt,
 	})
-	got, err := c2.TopKMode(ctx, 3, "continuous")
+	got, err := c2.TopK(ctx, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -399,17 +397,14 @@ func TestTopKFastPathAfterRestore(t *testing.T) {
 	if _, err := c3.Restore(ctx, ckpt); err != nil {
 		t.Fatal(err)
 	}
-	got3, err := c3.TopKMode(ctx, 3, "continuous")
+	got3, err := c3.TopK(ctx, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	bitEqualWireTopK(t, "live restore", want, got3)
 
 	// The fast path must hold bitwise against replay after the restore too.
-	rep, err := c3.TopKMode(ctx, 3, "replay")
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := replayTopK(ctx, t, c3, got3.Algorithm, 3)
 	bitEqualWireTopK(t, "restored continuous vs replay", got3, rep)
 }
 
@@ -419,8 +414,8 @@ func TestTopKFastPathAfterRestore(t *testing.T) {
 // restoring repeatedly — with ingest batches racing the restores — cannot
 // accumulate attached engines behind the serving detector or leave a stale
 // maintained answer. After the dust settles the continuous answer must
-// still hold bitwise against checkpoint replay, and the server stays
-// healthy.
+// still hold bitwise against a replay of the server's snapshot, and the
+// server stays healthy.
 func TestRestoreTwiceSwapsMaintainedTopK(t *testing.T) {
 	objs := testObjects(91, 900, 6)
 	ctx := context.Background()
@@ -461,14 +456,11 @@ func TestRestoreTwiceSwapsMaintainedTopK(t *testing.T) {
 	// push a deterministic tail and compare against replay over the same
 	// state.
 	ingestChunks(ctx, t, c, objs[700:], 50)
-	cont, err := c.TopKMode(ctx, 3, "continuous")
+	cont, err := c.TopK(ctx, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := c.TopKMode(ctx, 3, "replay")
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := replayTopK(ctx, t, c, cont.Algorithm, 3)
 	bitEqualWireTopK(t, "restore-twice continuous vs replay", cont, rep)
 	h, err := c.Health(ctx)
 	if err != nil {

@@ -331,14 +331,6 @@ func newSource(opt Options, cfg core.Config) (window.Source, error) {
 }
 
 func newEngine(alg Algorithm, cfg core.Config, opt Options) (core.Engine, error) {
-	eng, err := newEngineRaw(alg, cfg, opt)
-	if err == nil && core.TestEngineWrap != nil {
-		eng = core.TestEngineWrap(eng)
-	}
-	return eng, err
-}
-
-func newEngineRaw(alg Algorithm, cfg core.Config, opt Options) (core.Engine, error) {
 	switch alg {
 	case CellCSPOT:
 		return cellcspot.New(cfg, cellcspot.ModeCCS)

@@ -92,6 +92,9 @@ func newTopKShardEngine(alg Algorithm, cfg core.Config, k int) (core.TopKShard, 
 	if !ok {
 		return nil, fmt.Errorf("surge: algorithm %v has no sharded top-k variant", alg)
 	}
+	if core.TestEngineWrap != nil {
+		se = core.TestEngineWrap(se)
+	}
 	return se, nil
 }
 
